@@ -1,16 +1,17 @@
 // Request-front load sweep: client threads flood the admission-controlled
-// Service (bounded queue + fixed worker pool) with deadline-stamped
-// lookups, scaling offered load past saturation. Reported per client
-// count: sustained answers/s, shed rate, and completed-request latency
-// percentiles (p50/p95/p99). Every completed answer is validated against
-// the released tables, and the outcome accounting must reconcile to the
-// exact request count with snapshot_pins == completions — nonzero exit on
-// either failing, the overload contract is part of the measurement.
+// Service (execution slots on the caller's thread + a bounded waiting
+// line) with deadline-stamped lookups, scaling offered load past
+// saturation. Reported per client count: sustained answers/s, shed rate,
+// and completed-request latency percentiles (p50/p95/p99). Every
+// completed answer is validated against the released tables, and the
+// outcome accounting must reconcile to the exact request count with
+// snapshot_pins == completions — nonzero exit on either failing, the
+// overload contract is part of the measurement.
 //
 // Extra flags on top of bench_common's:
 //   --requests=N     requests per client per round (default 4000)
-//   --workers=N      service worker pool size (default 2)
-//   --capacity=N     admission queue capacity (default 16)
+//   --workers=N      max requests executing at once (default 2)
+//   --capacity=N     max callers waiting for a slot (default 16)
 //   --deadline-ms=N  per-request deadline budget (default 250)
 //   --dir=PATH       store directory (default /tmp/eep_bench_service; wiped)
 #include <algorithm>

@@ -17,13 +17,7 @@ Result<std::unique_ptr<Service>> Service::Create(Server* server,
     return Status::InvalidArgument(
         "Service::Create: num_workers must be >= 1");
   }
-  std::unique_ptr<Service> service(new Service(server, std::move(options)));
-  service->workers_.reserve(
-      static_cast<size_t>(service->options_.num_workers));
-  for (int i = 0; i < service->options_.num_workers; ++i) {
-    service->workers_.emplace_back(&Service::WorkerLoop, service.get());
-  }
-  return service;
+  return std::unique_ptr<Service>(new Service(server, std::move(options)));
 }
 
 Service::Service(Server* server, ServiceOptions options)
@@ -33,23 +27,14 @@ Service::Service(Server* server, ServiceOptions options)
       suspended_(options_.start_suspended) {}
 
 Service::~Service() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    // Shutdown unparks a suspended service: queued callers are blocked on
-    // their outcomes and MUST get one (deadline re-check included) before
-    // the workers join.
-    suspended_ = false;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  // Every queued task is done now, but its caller may still be inside
-  // AwaitDone (between being notified and releasing mu_). Wait for the
-  // last one to leave before the mutex and condvars are destroyed.
   std::unique_lock<std::mutex> lock(mu_);
-  drain_cv_.wait(lock, [this] { return awaiting_ == 0; });
+  stop_ = true;
+  // Shutdown opens the gate: waiting callers are blocked on their
+  // outcomes and MUST get one (deadline re-check included). Every caller
+  // notifies under mu_, so none touches cv_ after this wait returns.
+  suspended_ = false;
+  cv_.notify_all();
+  cv_.wait(lock, [this] { return waiting_ == 0 && executing_ == 0; });
 }
 
 int64_t Service::NowMs() const { return clock_->NowMs(); }
@@ -59,65 +44,97 @@ int64_t Service::DeadlineAfterMs(int64_t budget_ms) const {
 }
 
 void Service::Resume() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    suspended_ = false;
-  }
-  work_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  suspended_ = false;
+  cv_.notify_all();
 }
 
-Status Service::Enqueue(Task* task) {
+bool Service::Expired(int64_t deadline_ms) const {
+  return deadline_ms > 0 && clock_->NowMs() >= deadline_ms;
+}
+
+Status Service::Acquire(int64_t deadline_ms) {
   // Deadline gate first: an expired request is refused before it can
   // displace viable work, and without any snapshot being pinned.
-  if (task->deadline_ms > 0 && clock_->NowMs() >= task->deadline_ms) {
+  if (Expired(deadline_ms)) {
     expired_at_admission_.fetch_add(1, std::memory_order_relaxed);
     return Status::DeadlineExceeded("deadline expired before admission");
   }
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (stop_) {
       return Status::FailedPrecondition("service is shutting down");
     }
-    if (queue_.size() >= options_.queue_capacity) {
+    auto slot_free = [this] {
+      return !suspended_ && executing_ < options_.num_workers;
+    };
+    // A newcomer runs at once only when nobody waits ahead of it.
+    const bool run_now = waiting_ == 0 && slot_free();
+    if (!run_now && waiting_ >= options_.queue_capacity) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       return Status::ResourceExhausted(
-          "admission queue full (" +
-          std::to_string(options_.queue_capacity) + " waiting)");
+          "admission full (" + std::to_string(options_.queue_capacity) +
+          " waiting for a slot)");
     }
-    queue_.push_back(task);
     admitted_.fetch_add(1, std::memory_order_relaxed);
-    // Counted before mu_ is released: the destructor's drain cannot see
-    // zero awaiters while this caller is still on its way to AwaitDone.
-    ++awaiting_;
+    if (!run_now) {
+      const uint64_t ticket = next_ticket_++;
+      ++waiting_;
+      // One condvar for every waiter, so a wake-up is a notify_all: each
+      // waiter re-checks, and only the head of the line takes the slot.
+      cv_.wait(lock, [&] {
+        return ticket == next_ticket_ - waiting_ && slot_free();
+      });
+      --waiting_;
+      // The new head may fit a second free slot.
+      if (waiting_ > 0 && slot_free()) cv_.notify_all();
+    }
+    ++executing_;
   }
-  work_cv_.notify_one();
+  // The second deadline check: a request that expired while waiting is
+  // answered without pinning a snapshot — under overload the slots' time
+  // goes only to requests that can still meet their deadline.
+  if (Expired(deadline_ms)) {
+    expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
+    Release();
+    return Status::DeadlineExceeded("deadline expired waiting for a slot");
+  }
   return Status::OK();
 }
 
-void Service::AwaitDone(Task* task) {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [task] { return task->done; });
-  if (--awaiting_ == 0) drain_cv_.notify_all();
+void Service::Release() {
+  std::lock_guard<std::mutex> lock(mu_);
+  --executing_;
+  if (waiting_ > 0 || stop_) cv_.notify_all();
+}
+
+template <typename T, typename Fn>
+Result<T> Service::Run(const std::string& table, int64_t deadline_ms,
+                       Fn fn) {
+  EEP_RETURN_NOT_OK(Acquire(deadline_ms));
+  snapshot_pins_.fetch_add(1, std::memory_order_relaxed);
+  Result<T> out = [&]() -> Result<T> {
+    std::shared_ptr<const Snapshot> snap = server_->snapshot();
+    EEP_ASSIGN_OR_RETURN(const ServedTable* served, snap->Find(table));
+    return fn(*served);
+  }();
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  Release();
+  return out;
 }
 
 Result<std::string> Service::Lookup(const LookupRequest& request) {
-  Task task(Task::Kind::kLookup);
-  task.lookup = &request;
-  task.deadline_ms = request.deadline_ms;
-  EEP_RETURN_NOT_OK(Enqueue(&task));
-  AwaitDone(&task);
-  if (!task.status.ok()) return task.status;
-  return std::move(task.count);
+  return Run<std::string>(
+      request.table, request.deadline_ms,
+      [&](const ServedTable& served) {
+        return served.LookupCell(request.values);
+      });
 }
 
 Result<std::vector<RankedCell>> Service::TopK(const TopKRequest& request) {
-  Task task(Task::Kind::kTopK);
-  task.topk = &request;
-  task.deadline_ms = request.deadline_ms;
-  EEP_RETURN_NOT_OK(Enqueue(&task));
-  AwaitDone(&task);
-  if (!task.status.ok()) return task.status;
-  return std::move(task.ranked);
+  return Run<std::vector<RankedCell>>(
+      request.table, request.deadline_ms,
+      [&](const ServedTable& served) { return served.TopK(request.k); });
 }
 
 ServiceHealth Service::Health(const HealthRequest&) const {
@@ -139,66 +156,6 @@ ServiceStats Service::stats() const {
   stats.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);
   stats.snapshot_pins = snapshot_pins_.load(std::memory_order_relaxed);
   return stats;
-}
-
-void Service::Execute(Task* task) {
-  // The second deadline check: a request that expired while queued is
-  // answered without pinning a snapshot — under overload the pool's time
-  // goes only to requests that can still meet their deadline.
-  if (task->deadline_ms > 0 && clock_->NowMs() >= task->deadline_ms) {
-    expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
-    task->status = Status::DeadlineExceeded("deadline expired in queue");
-    return;
-  }
-  snapshot_pins_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const Snapshot> snap = server_->snapshot();
-  switch (task->kind) {
-    case Task::Kind::kLookup: {
-      Result<const ServedTable*> served = snap->Find(task->lookup->table);
-      if (!served.ok()) {
-        task->status = served.status();
-        break;
-      }
-      Result<std::string> count =
-          served.value()->LookupCell(task->lookup->values);
-      task->status = count.status();
-      if (count.ok()) task->count = std::move(count).value();
-      break;
-    }
-    case Task::Kind::kTopK: {
-      Result<const ServedTable*> served = snap->Find(task->topk->table);
-      if (!served.ok()) {
-        task->status = served.status();
-        break;
-      }
-      Result<std::vector<RankedCell>> ranked =
-          served.value()->TopK(task->topk->k);
-      task->status = ranked.status();
-      if (ranked.ok()) task->ranked = std::move(ranked).value();
-      break;
-    }
-  }
-  completed_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Service::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] {
-      return stop_ || (!suspended_ && !queue_.empty());
-    });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    Task* task = queue_.front();
-    queue_.pop_front();
-    lock.unlock();
-    Execute(task);
-    lock.lock();
-    task->done = true;
-    done_cv_.notify_all();
-  }
 }
 
 }  // namespace eep::serve

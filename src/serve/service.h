@@ -1,34 +1,40 @@
 // The resilient request front over serve::Server: typed requests with
-// per-request deadlines, a bounded admission queue feeding a fixed worker
-// pool, and explicit degraded-mode reporting. This is the process-local
-// core of the paper's OnTheMap deployment — a public web application
-// taking heavy interactive traffic over pre-released tabulations — where
-// the failure mode that matters is OVERLOAD, not just faults.
+// per-request deadlines, bounded admission in front of a fixed number of
+// execution slots, and explicit degraded-mode reporting. This is the
+// process-local core of the paper's OnTheMap deployment — a public web
+// application taking heavy interactive traffic over pre-released
+// tabulations — where the failure mode that matters is OVERLOAD, not just
+// faults.
+//
+// Every request runs on its caller's thread, which blocks until the
+// outcome anyway: the caller either takes one of num_workers execution
+// slots at once, or waits for one, in arrival order, behind at most
+// queue_capacity - 1 other waiters.
 //
 // Overload contract (docs/ARCHITECTURE.md, "Overload & degradation
 // contract"):
 //
-//   * BOUNDED ADMISSION. The queue holds at most queue_capacity waiting
-//     requests. A request arriving at a full queue is SHED immediately
-//     with kResourceExhausted — no buffering, no snapshot work, no
-//     unbounded latency. Admitted work is therefore bounded: at most
-//     (capacity + workers) requests are in the system at once.
-//   * DEADLINES, TWICE. A request's deadline is checked at admission
-//     (an already-expired request is refused with kDeadlineExceeded
-//     before it costs anything) and AGAIN when a worker picks it up (a
-//     request that expired waiting in the queue is answered
-//     kDeadlineExceeded without touching a snapshot). Snapshot work is
-//     only ever spent on requests that can still meet their deadline.
+//   * BOUNDED ADMISSION. At most queue_capacity callers wait for a slot.
+//     A request that cannot run at once while that many already wait is
+//     SHED immediately with kResourceExhausted — no blocking, no snapshot
+//     work, no unbounded latency. At most (capacity + workers) requests
+//     are in the system at once.
+//   * DEADLINES, TWICE. A request's deadline is checked at admission (an
+//     already-expired request is refused with kDeadlineExceeded before it
+//     costs anything) and AGAIN once its caller holds a slot (a request
+//     that expired while waiting is answered kDeadlineExceeded without
+//     touching a snapshot). Snapshot work is only ever spent on requests
+//     that can still meet their deadline.
 //   * ACCOUNTED, EXACTLY. Every request ends in exactly one of
 //     {completed, shed, expired-at-admission, expired-in-queue}; the
 //     counters reconcile to the request total and snapshot_pins ==
 //     completed (the "zero snapshot work for refused requests" proof the
 //     saturation test asserts).
-//   * NEVER DEAD. Health() answers without queueing — during overload or
-//     store faults it still reports the service state: the server's
-//     degraded flag (consecutive refresh failures past the threshold,
-//     pinned epoch still serving), epoch age, backoff position, and the
-//     admission counters.
+//   * NEVER DEAD. Health() answers without waiting for a slot — during
+//     overload or store faults it still reports the service state: the
+//     server's degraded flag (consecutive refresh failures past the
+//     threshold, pinned epoch still serving), epoch age, backoff
+//     position, and the admission counters.
 //
 // Time is injected (common/clock.h): deadlines, epoch age and the
 // backoff schedule all read the server's clock, so every path above is
@@ -36,14 +42,13 @@
 #ifndef EEP_SERVE_SERVICE_H_
 #define EEP_SERVE_SERVICE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -79,11 +84,11 @@ struct HealthRequest {};
 /// one bucket: completed + shed + expired_at_admission + expired_in_queue
 /// == requests received (stopped-service refusals excepted).
 struct ServiceStats {
-  uint64_t admitted = 0;     ///< Entered the queue.
+  uint64_t admitted = 0;     ///< Took a slot at once or waited for one.
   uint64_t completed = 0;    ///< Executed against a snapshot.
-  uint64_t shed = 0;         ///< Refused at admission: queue full.
+  uint64_t shed = 0;         ///< Refused at admission: waiting line full.
   uint64_t expired_at_admission = 0;  ///< Deadline already past on arrival.
-  uint64_t expired_in_queue = 0;      ///< Deadline passed while queued.
+  uint64_t expired_in_queue = 0;  ///< Deadline passed waiting for a slot.
   /// Snapshots pinned for execution. Equal to completed: shed and
   /// expired requests never touch one.
   uint64_t snapshot_pins = 0;
@@ -107,22 +112,24 @@ struct ServiceHealth {
 
 /// \brief Service configuration.
 struct ServiceOptions {
-  /// Waiting requests beyond the ones workers are executing. Full queue
-  /// => shed. Must be >= 1.
+  /// Callers that may wait for an execution slot. A request that cannot
+  /// run at once while this many wait is shed. Must be >= 1.
   size_t queue_capacity = 128;
-  /// Fixed worker pool size. Must be >= 1.
+  /// Max requests executing at once, each on its caller's thread. Must
+  /// be >= 1.
   int num_workers = 2;
   /// Deadline/backoff time source; nullptr = the server's clock.
   Clock* clock = nullptr;
-  /// When true, workers start parked and execute nothing until Resume().
-  /// Admission still runs — overload tests use this to fill the queue
-  /// deterministically (without it, shedding depends on scheduling).
+  /// When true, the execution gate starts closed: nothing executes until
+  /// Resume(). Admission still runs — overload tests use this to fill the
+  /// waiting line deterministically (without it, shedding depends on
+  /// scheduling).
   bool start_suspended = false;
 };
 
 /// \brief The request front. Thread-safe: any number of threads may call
-/// Lookup/TopK/Health/stats concurrently; requests block the calling
-/// thread until their outcome (which is why admitted latency stays
+/// Lookup/TopK/Health/stats concurrently; each request executes on, and
+/// blocks, its calling thread (which is why admitted latency stays
 /// bounded — there is no fire-and-forget buffering anywhere).
 class Service {
  public:
@@ -130,15 +137,16 @@ class Service {
   static Result<std::unique_ptr<Service>> Create(Server* server,
                                                  ServiceOptions options = {});
 
-  /// Stops admission, drains queued requests (each still gets its
-  /// deadline re-checked) and joins the workers.
+  /// Stops admission, opens the execution gate and waits until every
+  /// admitted caller has left (waiters still run, in order, each with
+  /// its deadline re-checked).
   ~Service();
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Blocking point lookup: admitted, executed by a worker against one
-  /// pinned snapshot, answered verbatim. kResourceExhausted when shed,
-  /// kDeadlineExceeded when expired (either check), kNotFound/
+  /// Blocking point lookup: admitted, executed on the calling thread
+  /// against one pinned snapshot, answered verbatim. kResourceExhausted
+  /// when shed, kDeadlineExceeded when expired (either check), kNotFound/
   /// kInvalidArgument from the lookup itself, kFailedPrecondition after
   /// shutdown began.
   Result<std::string> Lookup(const LookupRequest& request);
@@ -146,8 +154,8 @@ class Service {
   /// Blocking top-k ranking; same admission semantics as Lookup.
   Result<std::vector<RankedCell>> TopK(const TopKRequest& request);
 
-  /// Never queued, never sheds, no deadline: one consistent health
-  /// sample even (especially) under overload or store faults.
+  /// Never waits for a slot, never sheds, no deadline: one consistent
+  /// health sample even (especially) under overload or store faults.
   ServiceHealth Health(const HealthRequest& request = {}) const;
 
   ServiceStats stats() const;
@@ -158,59 +166,42 @@ class Service {
   /// NowMs() + budget_ms, the usual way to stamp a request's deadline.
   int64_t DeadlineAfterMs(int64_t budget_ms) const;
 
-  /// Unparks the workers of a start_suspended service. Idempotent.
+  /// Opens the execution gate of a start_suspended service. Idempotent.
   void Resume();
 
  private:
-  /// One in-flight request, owned by the calling thread's stack frame
-  /// for its whole life (the caller outlives it by blocking).
-  struct Task {
-    enum class Kind { kLookup, kTopK };
-    explicit Task(Kind k) : kind(k) {}
-    Kind kind;
-    const LookupRequest* lookup = nullptr;
-    const TopKRequest* topk = nullptr;
-    int64_t deadline_ms = 0;
-    Status status;  ///< Outcome; OK means the payload below is set.
-    std::string count;
-    std::vector<RankedCell> ranked;
-    bool done = false;  ///< Guarded by mu_.
-  };
-
   Service(Server* server, ServiceOptions options);
 
-  /// Admission: deadline gate, then the capacity gate, then enqueue.
-  /// Returns non-OK without the task ever entering the queue.
-  Status Enqueue(Task* task);
-  /// Blocks until a worker marked the task done.
-  void AwaitDone(Task* task);
-  /// Worker-side: deadline recheck, then the snapshot work. Lock-free —
-  /// counters are atomics and the snapshot is immutable.
-  void Execute(Task* task);
-  void WorkerLoop();
+  /// Acquire, then `fn(const ServedTable&)` on `table` of one pinned
+  /// snapshot, then Release — all on the calling thread.
+  template <typename T, typename Fn>
+  Result<T> Run(const std::string& table, int64_t deadline_ms, Fn fn);
+  /// Admission (deadline, shutdown, shed), the wait for a slot in
+  /// arrival order, then the deadline re-check. OK means the caller holds
+  /// a slot and must Release() it.
+  Status Acquire(int64_t deadline_ms);
+  void Release();
+  bool Expired(int64_t deadline_ms) const;
 
   Server* const server_;
   const ServiceOptions options_;
   Clock* clock_;  ///< Never null.
 
-  /// Guards queue_, suspended_, stop_, awaiting_ and every Task::done
-  /// flag.
+  /// Guards the slot state below.
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< Wakes workers (work/stop/resume).
-  std::condition_variable done_cv_;  ///< Wakes callers awaiting outcomes.
-  std::condition_variable drain_cv_;  ///< Wakes the destructor's drain.
-  /// Admitted callers that have not yet left AwaitDone. The destructor
-  /// joins the workers (every queued task gets its outcome) and then
-  /// waits for this to reach zero, so no caller is still inside a
-  /// member function when the members are destroyed.
-  uint64_t awaiting_ = 0;
-  /// The bounded admission queue; Enqueue's explicit capacity check
-  /// against options_.queue_capacity is the bound (eep-lint rule
-  /// `unbounded-queue` watches growth sites like this one).
-  std::deque<Task*> queue_;
-  bool suspended_ = false;
+  /// Wakes waiters (slot freed, gate opened, head of the line moved) and
+  /// the destructor's drain.
+  std::condition_variable cv_;
+  /// Admitted callers waiting for a slot; <= queue_capacity.
+  size_t waiting_ = 0;
+  /// Callers holding a slot; <= num_workers.
+  int executing_ = 0;
+  /// Waiters take tickets in arrival order and leave the line only from
+  /// its head, so the head holds ticket next_ticket_ - waiting_ and no
+  /// caller overtakes an earlier one.
+  uint64_t next_ticket_ = 0;
+  bool suspended_ = false;  ///< Execution gate closed (start_suspended).
   bool stop_ = false;
-  std::vector<std::thread> workers_;
 
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> completed_{0};

@@ -6,9 +6,10 @@
 namespace eep::serve {
 namespace {
 
-/// Released counts are decimal numerals (integers when the release
-/// rounded, %.17g doubles otherwise). Rank order must be numeric — the
-/// lexicographic string order would put "9" above "10".
+/// Released counts are decimal numerals: integers when the release
+/// rounded, "%.4f" fixed-point otherwise (release/pipeline.cc), which is
+/// negative when unrounded noise pushed a count below 0. Rank order must
+/// be numeric — the lexicographic string order would put "9" above "10".
 double ParseCount(const std::string& s) {
   return std::strtod(s.c_str(), nullptr);
 }

@@ -107,6 +107,25 @@ TEST_F(ServeTest, TopKIsNumericDescendingWithDeterministicTies) {
   EXPECT_EQ(top[2].count, "10");
   // k past the end returns everything.
   EXPECT_EQ(table.value().TopK(100).size(), 6u);
+
+  // Unrounded releases format counts as "%.4f", and noise can take them
+  // below 0: the order is still numeric ("9.7500" is lexicographically
+  // above "10.2500", "-3.2500" below everything).
+  store::TableData unrounded;
+  unrounded.name = "unrounded";
+  unrounded.header = {"place", "count"};
+  unrounded.rows = {{"a", "9.7500"},
+                    {"b", "-3.2500"},
+                    {"c", "10.2500"},
+                    {"d", "10.0000"}};
+  auto fixed = ServedTable::Build(std::move(unrounded));
+  ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
+  const std::vector<RankedCell> all = fixed.value().TopK(4);
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all[0].count, "10.2500");
+  EXPECT_EQ(all[1].count, "10.0000");
+  EXPECT_EQ(all[2].count, "9.7500");
+  EXPECT_EQ(all[3].count, "-3.2500");
 }
 
 TEST_F(ServeTest, BuildRejectsMalformedTables) {

@@ -11,8 +11,8 @@
 //      and snapshot pins equal completions exactly.
 //
 // This file runs under the CI TSan sweep (the `service` group): the
-// counters, the queue, and the done-flag handoff must all be clean under
-// a genuinely saturating thread count.
+// counters and the slot gate must be clean under a genuinely saturating
+// thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -20,6 +22,28 @@
 
 namespace eep::serve {
 namespace {
+
+// A FakeClock that records which thread read it, in read order.
+class ThreadRecordingClock : public FakeClock {
+ public:
+  int64_t NowMs() const override {
+    {
+      std::lock_guard<std::mutex> lock(log_mu_);
+      readers_.push_back(std::this_thread::get_id());
+    }
+    return FakeClock::NowMs();
+  }
+
+  /// The readers logged so far; clears the log.
+  std::vector<std::thread::id> TakeReaders() {
+    std::lock_guard<std::mutex> lock(log_mu_);
+    return std::exchange(readers_, {});
+  }
+
+ private:
+  mutable std::mutex log_mu_;
+  mutable std::vector<std::thread::id> readers_;
+};
 
 class ServiceTest : public ::testing::Test {
  protected:
@@ -176,6 +200,44 @@ TEST_F(ServiceTest, DeadlineExpiredInQueueNeverTouchesASnapshot) {
   EXPECT_EQ(stats.expired_in_queue, 1u);
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.snapshot_pins, 0u);  // expired work pins nothing
+}
+
+TEST_F(ServiceTest, RequestsExecuteOnTheirCallersThreadsInArrivalOrder) {
+  CommitEpoch("fp-1");
+  auto server = OpenServer();
+  ThreadRecordingClock clock;
+  ServiceOptions options;
+  options.start_suspended = true;  // gate closed: both callers wait
+  options.num_workers = 1;
+  options.clock = &clock;
+  auto service = Service::Create(server.get(), options);
+  ASSERT_TRUE(service.ok());
+
+  LookupRequest lookup;
+  lookup.table = "jobs";
+  lookup.values = {{"place", "p6"}};
+  lookup.deadline_ms = service.value()->DeadlineAfterMs(50);
+  Status got_a = Status::Internal("never finished");
+  Status got_b = Status::Internal("never finished");
+  std::thread a([&] { got_a = service.value()->Lookup(lookup).status(); });
+  while (service.value()->stats().admitted < 1) std::this_thread::yield();
+  std::thread b([&] { got_b = service.value()->Lookup(lookup).status(); });
+  while (service.value()->stats().admitted < 2) std::this_thread::yield();
+  const std::vector<std::thread::id> callers = {a.get_id(), b.get_id()};
+
+  // Drop the admission-time reads: from here on, the only clock reads
+  // are the execution-time deadline checks.
+  clock.TakeReaders();
+  service.value()->Resume();
+  a.join();
+  b.join();
+
+  EXPECT_TRUE(got_a.ok()) << got_a.ToString();
+  EXPECT_TRUE(got_b.ok()) << got_b.ToString();
+  // Each check ran on its own caller's thread (no other thread executes
+  // requests), and A's ran first: B never overtook the earlier waiter.
+  EXPECT_EQ(clock.TakeReaders(), callers);
+  EXPECT_EQ(service.value()->stats().completed, 2u);
 }
 
 TEST_F(ServiceTest, FullQueueShedsImmediatelyWithoutBlocking) {
